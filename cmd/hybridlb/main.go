@@ -18,6 +18,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -29,28 +30,34 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "hybridlb:", err)
+		os.Exit(1)
+	}
+}
+
+// run parses args and writes the per-second goodput table to w.
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("hybridlb", flag.ExitOnError)
 	var (
-		a     = flag.Int("a", 0, "station A")
-		b     = flag.Int("b", 4, "station B")
-		total = flag.Duration("for", 60*time.Second, "run duration (virtual)")
+		a     = fs.Int("a", 0, "station A")
+		b     = fs.Int("b", 4, "station B")
+		total = fs.Duration("for", 60*time.Second, "run duration (virtual)")
 	)
-	tbf := cli.RegisterTestbedFlags()
-	flag.Parse()
+	tbf := cli.RegisterTestbedFlagsOn(fs)
+	fs.Parse(args) // ExitOnError: -h exits 0, a bad flag exits 2
 
 	tb, err := tbf.Build()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "hybridlb:", err)
-		os.Exit(1)
+		return err
 	}
 	pl, err := tb.PLCLink(*a, *b)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "hybridlb:", err)
-		os.Exit(1)
+		return err
 	}
 	wifiAL, err := tb.ALLink(core.WiFi, *a, *b)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "hybridlb:", err)
-		os.Exit(1)
+		return err
 	}
 
 	start := 11 * time.Hour
@@ -75,8 +82,7 @@ func main() {
 		PreTick:  func(t time.Duration) { plcAL.ProbeTrain(t, 1300, 1) },
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "hybridlb:", err)
-		os.Exit(1)
+		return err
 	}
 	defer rt.Close()
 	sub, _, _ := rt.Subscribe() // before the first tick: no bootstrap yet
@@ -86,12 +92,11 @@ func main() {
 	plcKey := floor.Key{Src: *a, Dst: *b, Medium: core.PLC}
 	var table map[floor.Key]al.LinkState
 
-	fmt.Printf("# link %d-%d: per-second goodput (Mb/s)\n", *a, *b)
-	fmt.Println("#    t   wifi    plc  hybrid  round-robin")
+	fmt.Fprintf(w, "# link %d-%d: per-second goodput (Mb/s)\n", *a, *b)
+	fmt.Fprintln(w, "#    t   wifi    plc  hybrid  round-robin")
 	for t := start; t < start+*total; t += time.Second {
 		if err := rt.AdvanceTo(t); err != nil {
-			fmt.Fprintln(os.Stderr, "hybridlb:", err)
-			os.Exit(1)
+			return err
 		}
 		for {
 			u, _, ok := sub.TryNext()
@@ -103,7 +108,8 @@ func main() {
 		states := []al.LinkState{table[wifiKey], table[plcKey]}
 		h := hybrid.AggregateFromStates(hybrid.Proportional{}, states)
 		rr := hybrid.AggregateFromStates(hybrid.RoundRobin{}, states)
-		fmt.Printf("%5.0fs  %5.1f  %5.1f  %6.1f  %11.1f\n",
+		fmt.Fprintf(w, "%5.0fs  %5.1f  %5.1f  %6.1f  %11.1f\n",
 			(t - start).Seconds(), states[0].Goodput, states[1].Goodput, h, rr)
 	}
+	return nil
 }

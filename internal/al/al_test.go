@@ -263,9 +263,6 @@ func TestTopologyViews(t *testing.T) {
 	if got := n.Links(); len(got) != 3 {
 		t.Fatalf("node 0 links = %d", len(got))
 	}
-	if got := n.Neighbors(); len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("neighbors = %v", got)
-	}
 	if l, ok := n.Link(core.WiFi, 2); !ok || l.Capacity(0) != 20 {
 		t.Fatal("node link lookup failed")
 	}

@@ -369,19 +369,3 @@ func (n Node) Link(m core.Medium, dst int) (Link, bool) {
 	l, ok := n.tp.byKey[linkKey{n.Station, dst, m}]
 	return l, ok
 }
-
-// Neighbors lists the stations reachable over any medium in one hop,
-// ascending and deduplicated.
-func (n Node) Neighbors() []int {
-	seen := map[int]bool{}
-	for _, l := range n.tp.out[n.Station] {
-		_, d := l.Endpoints()
-		seen[d] = true
-	}
-	out := make([]int, 0, len(seen))
-	for d := range seen {
-		out = append(out, d)
-	}
-	sort.Ints(out)
-	return out
-}

@@ -20,8 +20,6 @@ package campaign
 import (
 	"fmt"
 	"time"
-
-	"repro/internal/experiments"
 )
 
 // EventKind tags a progress event.
@@ -78,21 +76,6 @@ type Options struct {
 	// Observer, when set, receives progress events. Calls are
 	// serialised; the callback must not block for long.
 	Observer func(Event)
-	// NoMemoize disables the shared testbed pool (each harness then
-	// rebuilds its floors from scratch, as a standalone run would).
-	NoMemoize bool
-}
-
-// Results extracts the successful results of a campaign in outcome
-// order, mirroring what a serial loop over experiments.Run returns.
-func Results(outs []JobOutcome) []experiments.Result {
-	var rs []experiments.Result
-	for _, o := range outs {
-		if o.Result != nil {
-			rs = append(rs, o.Result)
-		}
-	}
-	return rs
 }
 
 // FailedClaims filters a campaign's outcomes down to the ones whose

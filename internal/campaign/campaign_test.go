@@ -280,16 +280,3 @@ func TestSchedulingAndEvents(t *testing.T) {
 		t.Fatalf("first start = %s, want costliest %s (longest-first schedule)", started[0], costliest)
 	}
 }
-
-// TestResultsHelper checks the success extractor keeps order and drops
-// missing results.
-func TestResultsHelper(t *testing.T) {
-	outs, err := Collect(context.Background(), testPlan("table3", "table2"), Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs := Results(outs)
-	if len(rs) != 2 || rs[0].Name() != "table3" || rs[1].Name() != "table2" {
-		t.Fatalf("results = %v", rs)
-	}
-}

@@ -48,7 +48,7 @@ type Run struct {
 // Start validates the plan and launches it on a worker pool, returning
 // immediately with a handle. The pool executes the plan's jobs
 // longest-first (by the registry's estimated cost) on opts.Workers
-// workers, sharing one memoizing testbed factory unless opts.NoMemoize.
+// workers, sharing one memoizing testbed factory.
 //
 // Error contract: every runnable job is attempted even when a sibling
 // fails; Wait returns the first harness failure in job order, wrapped
@@ -162,10 +162,7 @@ func (r *Run) execute(ctx context.Context, cfg experiments.Config, opts Options)
 		workers = total
 	}
 
-	var factory *testbed.Factory
-	if !opts.NoMemoize {
-		factory = testbed.NewFactory()
-	}
+	factory := testbed.NewFactory()
 
 	// Longest-first schedule: sort indices by estimated cost, stable on
 	// the job order so equal-cost jobs keep a deterministic feed order.
@@ -259,13 +256,11 @@ func runOne(ctx context.Context, cfg experiments.Config, job Job, worker int, ti
 		runCtx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
 	}
-	if factory != nil {
-		sess := factory.Session()
-		cfg.Testbeds = sess
-		// Results hold plain data, never testbed references, so the
-		// leases can be recycled as soon as the harness returns.
-		defer sess.Close()
-	}
+	sess := factory.Session()
+	cfg.Testbeds = sess
+	// Results hold plain data, never testbed references, so the leases
+	// can be recycled as soon as the harness returns.
+	defer sess.Close()
 	emit(Event{Kind: EventStarted, Job: job, Worker: worker})
 	begin := time.Now() //reprolint:allow wallclock -- JobOutcome.Elapsed reports real harness cost; it never feeds simulated results
 	res, err := runExperiment(runCtx, job.Experiment.ID, cfg)

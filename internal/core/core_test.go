@@ -30,18 +30,6 @@ func TestMetricTable(t *testing.T) {
 	}
 }
 
-func TestETXFromLossRate(t *testing.T) {
-	if e := ETXFromLossRate(0); e != 1 {
-		t.Fatalf("ETX(0) = %v", e)
-	}
-	if e := ETXFromLossRate(0.5); e != 2 {
-		t.Fatalf("ETX(0.5) = %v", e)
-	}
-	if e := ETXFromLossRate(1); e < 1e8 {
-		t.Fatalf("ETX(1) = %v, want huge", e)
-	}
-}
-
 func TestUETX(t *testing.T) {
 	mean, std := UETX([]int{1, 1, 1, 3})
 	if mean != 1.5 {

@@ -2,8 +2,8 @@
 // metrics and the estimation machinery hybrid networks need. It provides
 // the two IEEE 1905 metrics the paper designs for PLC — capacity from the
 // BLE and loss from PBerr — together with probing policies (§7.3), the
-// estimation-error evaluation methodology, broadcast vs unicast ETX
-// (§8.1), and the link-metric guidelines of Table 3.
+// estimation-error evaluation methodology, unicast ETX (§8.1), and the
+// link-metric guidelines of Table 3.
 package core
 
 import (
@@ -11,7 +11,6 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/plc/mac"
 	"repro/internal/stats"
 )
 
@@ -87,25 +86,6 @@ func (mt *MetricTable) Asymmetry(a, b int) (float64, bool) {
 		ratio = 1 / ratio
 	}
 	return ratio, true
-}
-
-// PLCCapacityToThroughput converts a BLE-based capacity estimate into the
-// UDP goodput a saturated application would see (the Fig. 15 relation).
-func PLCCapacityToThroughput(bleMbps, pberr float64) float64 {
-	return mac.UDPThroughput(bleMbps, pberr)
-}
-
-// ETXFromLossRate converts a broadcast-probe loss rate into the classic
-// expected transmission count of De Couto et al. (the paper's refs [7,8]):
-// ETX = 1/(1-loss) under symmetric delivery.
-func ETXFromLossRate(loss float64) float64 {
-	if loss >= 1 {
-		return 1e9
-	}
-	if loss < 0 {
-		loss = 0
-	}
-	return 1 / (1 - loss)
 }
 
 // UETX computes the unicast expected transmission count from per-packet

@@ -80,9 +80,6 @@ type ProbingEval struct {
 	Duration time.Duration
 }
 
-// ErrorCDF returns the empirical CDF of estimation errors.
-func (e *ProbingEval) ErrorCDF() stats.CDF { return stats.NewCDF(e.Errors) }
-
 // MeanError returns the average estimation error (Mb/s).
 func (e *ProbingEval) MeanError() float64 { return stats.Mean(e.Errors) }
 

@@ -211,14 +211,6 @@ func (s *Sub[T]) Next(ctx context.Context) (ev T, dropped uint64, err error) {
 	}
 }
 
-// Dropped reports the events lost since the last read (the value the
-// next Next/TryNext will return).
-func (s *Sub[T]) Dropped() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dropped
-}
-
 // pop removes and returns the oldest buffered event. Caller holds mu.
 func (s *Sub[T]) pop() T {
 	ev := s.buf[s.head]

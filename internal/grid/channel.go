@@ -119,11 +119,6 @@ type Link struct {
 	hRefl   []complex128 // appliance reflection sum (state-dependent)
 	fixedDB float64      // cross-board penalty + coupler losses
 
-	// togglesSinceRebuild drives the optional drift resync (see
-	// Config.ResyncEpochs): incremental toggles accumulate float error
-	// relative to a from-scratch rebuild, bounded but nonzero.
-	togglesSinceRebuild int
-
 	noiseLin []float64 // flat [slot × carrier] current-mask noise (linear)
 	gainDB   []float64 // 20·log10|H| + fixedDB at current mask
 	snrBase  []float64 // flat [slot × carrier] SNR at current mask
@@ -248,7 +243,6 @@ func (l *Link) ensureChannel() {
 				}
 				diff >>= 1
 			}
-			l.togglesSinceRebuild++
 			cur = m
 		}
 		l.pending = nil
@@ -264,12 +258,6 @@ func backgroundNoiseDBmHz(f float64) float64 {
 
 // Carriers returns the carrier frequencies of the link.
 func (l *Link) Carriers() []float64 { return l.freqs }
-
-// TxNode identifies the transmitting outlet.
-func (l *Link) TxNode() NodeID { return l.tx }
-
-// RxNode returns the receiving outlet.
-func (l *Link) RxNode() NodeID { return l.rx }
 
 // CableDistance returns the direct cable run in metres.
 func (l *Link) CableDistance() float64 { return l.d0 }
@@ -324,11 +312,6 @@ func (l *Link) Advance(t time.Duration) uint64 {
 		l.started = true
 		l.firstMask = m
 		l.mask = m
-		if l.g.resyncEpochs > 0 {
-			// Resync mode counts incremental batches against a rebuild
-			// budget, so it keeps the historical eager semantics.
-			l.ensureChannel()
-		}
 		return l.epoch
 	}
 	if m == l.mask {
@@ -354,20 +337,13 @@ func (l *Link) Advance(t time.Duration) uint64 {
 		}
 		return l.epoch
 	}
-	if re := l.g.resyncEpochs; re > 0 && l.togglesSinceRebuild >= re {
-		// Drift resync: replace the accumulated incremental state with
-		// an exact from-scratch rebuild (see TestToggleDriftVsRebuild).
-		l.rebuild(m)
-	} else {
-		for i := 0; diff != 0; i++ {
-			if diff&1 != 0 {
-				l.toggle(i, m&(1<<uint(i)) != 0)
-			}
-			diff >>= 1
+	for i := 0; diff != 0; i++ {
+		if diff&1 != 0 {
+			l.toggle(i, m&(1<<uint(i)) != 0)
 		}
-		l.togglesSinceRebuild++
-		l.finishUpdate()
+		diff >>= 1
 	}
+	l.finishUpdate()
 	l.mask = m
 	l.epoch++
 	return l.epoch
@@ -415,7 +391,6 @@ func (l *Link) rebuild(mask uint64) {
 			l.addNoise(i, +1)
 		}
 	}
-	l.togglesSinceRebuild = 0
 	l.finishUpdate()
 }
 

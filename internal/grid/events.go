@@ -203,7 +203,3 @@ func (g *Grid) maskIntervalAt(t time.Duration) (mask uint64, start, end time.Dur
 	}
 	return mask, start, end, g.tlGen.Load()
 }
-
-// TimelineGen exposes the timeline generation counter (see Link.Advance's
-// interval fast path; tests use it to observe invalidation).
-func (g *Grid) TimelineGen() uint64 { return g.tlGen.Load() }

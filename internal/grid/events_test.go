@@ -115,9 +115,9 @@ func TestTimelineInvalidationOnPlug(t *testing.T) {
 	l := g.NewLink(0, 10, testFreqs())
 	noon := 12 * time.Hour
 	l.Advance(noon)
-	gen := g.TimelineGen()
+	gen := g.tlGen.Load()
 	g.Plug(ClassRouter, 3) // always-on: flips its mask bit immediately
-	if g.TimelineGen() == gen {
+	if g.tlGen.Load() == gen {
 		t.Fatal("Plug must bump the timeline generation")
 	}
 	l.Advance(noon)

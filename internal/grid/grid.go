@@ -93,8 +93,7 @@ type Grid struct {
 	tlTimes []time.Duration // guarded by tlMu
 	tlMasks []uint64        // guarded by tlMu
 
-	seed         int64
-	resyncEpochs int
+	seed int64
 }
 
 type edge struct {
@@ -109,16 +108,6 @@ type Config struct {
 	Z0                     float64
 	BoardCrossingPenaltyDB float64
 	Seed                   int64
-
-	// ResyncEpochs, when positive, makes every link replace its
-	// incrementally maintained channel state with an exact from-scratch
-	// rebuild after that many incremental epoch updates. Incremental
-	// toggles accumulate float error relative to a rebuild; the drift is
-	// bounded (TestToggleDriftVsRebuild pins it below 1e-9 dB over
-	// thousands of epochs), so the calibrated default leaves resync off
-	// to keep results bit-stable against historical runs. Simulations
-	// pushing far beyond that epoch budget can opt in.
-	ResyncEpochs int
 }
 
 // DefaultConfig returns the calibrated defaults.
@@ -137,7 +126,6 @@ func New(cfg Config) *Grid {
 		BoardCrossingPenaltyDB: cfg.BoardCrossingPenaltyDB,
 		adj:                    make(map[NodeID][]edge),
 		seed:                   cfg.Seed,
-		resyncEpochs:           cfg.ResyncEpochs,
 	}
 }
 
@@ -268,17 +256,6 @@ func (g *Grid) StateMask(t time.Duration) uint64 {
 		}
 	}
 	return m
-}
-
-// OnCount returns the number of appliances on at t.
-func (g *Grid) OnCount(t time.Duration) int {
-	m := g.StateMask(t)
-	n := 0
-	for m != 0 {
-		m &= m - 1
-		n++
-	}
-	return n
 }
 
 // EuclidDist returns the straight-line (floor-plan) distance between two

@@ -12,10 +12,8 @@ import (
 // driftGrid builds a cable run crowded with RandomDuty appliances, so the
 // appliance mask churns on nearly every 10-minute cell — the worst case
 // for incremental channel updates.
-func driftGrid(resync int) *Grid {
-	cfg := DefaultConfig()
-	cfg.ResyncEpochs = resync
-	g := New(cfg)
+func driftGrid() *Grid {
+	g := New(DefaultConfig())
 	prev := g.AddNode(0, 0, 0)
 	for i := 1; i <= 8; i++ {
 		cur := g.AddNode(float64(i)*7, 0, 0)
@@ -50,10 +48,10 @@ func marchEpochs(l *Link, steps int) (epochs int, end time.Duration) {
 // updates: after thousands of toggle epochs the incrementally maintained
 // SNR must stay within a tight tolerance of a from-scratch rebuild at the
 // same mask. The measured drift is ulp-scale (the toggle deltas are exact
-// reversals over shared immutable phasors), which is why ResyncEpochs can
-// default to off; this test pins that assumption.
+// reversals over shared immutable phasors), which is why the incremental
+// state is never periodically rebuilt; this test pins that assumption.
 func TestToggleDriftVsRebuild(t *testing.T) {
-	g := driftGrid(0)
+	g := driftGrid()
 	freqs := testFreqs()
 	inc := g.NewLink(0, 8, freqs)
 	epochs, end := marchEpochs(inc, 5000)
@@ -76,35 +74,6 @@ func TestToggleDriftVsRebuild(t *testing.T) {
 	t.Logf("epochs %d, worst incremental-vs-rebuild drift %.3g dB", epochs, worst)
 	if worst > 1e-9 {
 		t.Fatalf("incremental updates drifted %.3g dB from rebuild after %d epochs (tolerance 1e-9)", worst, epochs)
-	}
-}
-
-// TestResyncRebuildExactly: with Config.ResyncEpochs set, a link that just
-// resynced is bit-identical to a freshly rebuilt one — the escape hatch if
-// a simulation ever pushes past the drift budget.
-func TestResyncRebuildExactly(t *testing.T) {
-	g := driftGrid(1)
-	freqs := testFreqs()
-	inc := g.NewLink(0, 8, freqs)
-	_, end := marchEpochs(inc, 5000)
-	// March on until the most recent epoch update was a resync rebuild.
-	for step := 5000; inc.togglesSinceRebuild != 0; step++ {
-		if step > 6000 {
-			t.Fatal("no resync rebuild within 1000 extra steps")
-		}
-		end = time.Duration(step) * randomDutyCell
-		inc.Advance(end)
-	}
-
-	fresh := g.NewLink(0, 8, freqs)
-	fresh.Advance(end)
-	for s := 0; s < mains.Slots; s++ {
-		a, b := inc.SNRBase(s), fresh.SNRBase(s)
-		for c := range a {
-			if a[c] != b[c] {
-				t.Fatalf("slot %d carrier %d: resynced %v != rebuilt %v", s, c, a[c], b[c])
-			}
-		}
 	}
 }
 
@@ -272,7 +241,7 @@ func TestDirtySkipDisconnectedExact(t *testing.T) {
 // link that materialised up front and applied every transition eagerly —
 // at every prefix of the sequence, not just the end.
 func TestLazyReplayMatchesEagerExact(t *testing.T) {
-	g := driftGrid(0)
+	g := driftGrid()
 	freqs := testFreqs()
 	eager := g.NewLink(0, 8, freqs)
 

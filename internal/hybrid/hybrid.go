@@ -1,8 +1,7 @@
 // Package hybrid implements the WiFi+PLC bandwidth-aggregation layer of
 // §7.4: a Click-style element pipeline sitting between IP and MAC that
 // splits packets across media proportionally to their estimated
-// capacities, reorders at the receiver using the IP identification
-// sequence, and is compared against a capacity-blind round-robin scheduler.
+// capacities, compared against a capacity-blind round-robin scheduler.
 //
 // Schedulers consume the IEEE 1905-style abstraction layer (al.Link), so
 // the balancer is medium-blind: any technology that implements al.Link —
@@ -95,49 +94,6 @@ func (Proportional) WeightsFromStates(states []al.LinkState) []float64 {
 	}
 	for i := range w {
 		w[i] /= sum
-	}
-	return w
-}
-
-// Greedy is winner-take-all: the whole split lands on the single
-// usable link with the best capacity estimate — the "switch, don't
-// aggregate" end of the design space, which partitions load instead of
-// hedging across collision domains. Ties (and the no-estimates case)
-// resolve to the first usable link, so the split is deterministic.
-type Greedy struct{}
-
-// Name implements Scheduler.
-func (Greedy) Name() string { return "greedy" }
-
-// Weights implements Scheduler: live reads, then the shared split logic.
-func (g Greedy) Weights(t time.Duration, links []al.Link) []float64 {
-	states := make([]al.LinkState, len(links))
-	for i, l := range links {
-		states[i] = al.LinkState{Capacity: l.Capacity(t), Connected: l.Connected(t)}
-	}
-	return g.WeightsFromStates(states)
-}
-
-// WeightsFromStates implements StateScheduler: weight 1 on the
-// best-capacity usable link, 0 elsewhere; all-dark returns all zeros
-// (no valid split exists, matching Proportional).
-func (Greedy) WeightsFromStates(states []al.LinkState) []float64 {
-	w := make([]float64, len(states))
-	best, bestCap := -1, -1.0
-	for i, st := range states {
-		if !st.Connected {
-			continue
-		}
-		c := st.Capacity
-		if c < 0 {
-			c = 0
-		}
-		if c > bestCap {
-			best, bestCap = i, c
-		}
-	}
-	if best >= 0 {
-		w[best] = 1
 	}
 	return w
 }

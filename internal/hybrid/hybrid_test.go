@@ -2,8 +2,6 @@ package hybrid
 
 import (
 	"math"
-	"math/rand"
-	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -304,109 +302,6 @@ func TestMetricTableBackedScheduling(t *testing.T) {
 	w := Proportional{}.Weights(0, links)
 	if w[0] != 0.25 || w[1] != 0.75 {
 		t.Fatalf("table-driven weights = %v", w)
-	}
-}
-
-func TestReordererInOrderPassThrough(t *testing.T) {
-	r := NewReorderer(0, time.Second)
-	for i := uint32(0); i < 10; i++ {
-		out := r.Deliver(Packet{ID: i, Arrived: time.Duration(i) * time.Millisecond})
-		if len(out) != 1 || out[0].ID != i {
-			t.Fatalf("in-order packet %d not released immediately: %v", i, out)
-		}
-	}
-	if r.Pending() != 0 {
-		t.Fatalf("pending = %d", r.Pending())
-	}
-}
-
-func TestReordererHoldsGap(t *testing.T) {
-	r := NewReorderer(0, time.Hour)
-	if out := r.Deliver(Packet{ID: 1, Arrived: 0}); len(out) != 0 {
-		t.Fatalf("gap packet released early: %v", out)
-	}
-	out := r.Deliver(Packet{ID: 0, Arrived: time.Millisecond})
-	if len(out) != 2 || out[0].ID != 0 || out[1].ID != 1 {
-		t.Fatalf("release after gap fill = %v", out)
-	}
-}
-
-func TestReordererTimeoutSkips(t *testing.T) {
-	r := NewReorderer(0, 10*time.Millisecond)
-	r.Deliver(Packet{ID: 1, Arrived: 0})
-	out := r.Deliver(Packet{ID: 2, Arrived: 20 * time.Millisecond})
-	if len(out) != 2 {
-		t.Fatalf("timeout should skip the lost head: %v", out)
-	}
-	if r.Skipped != 1 {
-		t.Fatalf("skipped = %d", r.Skipped)
-	}
-}
-
-// Property: whatever the arrival order, released IDs are strictly
-// increasing and no packet is released twice.
-func TestReordererOrderInvariantProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 50
-		perm := rng.Perm(n)
-		r := NewReorderer(0, 0) // no timeout: strict order
-		var released []uint32
-		for i, p := range perm {
-			for _, q := range r.Deliver(Packet{ID: uint32(p), Arrived: time.Duration(i) * time.Millisecond}) {
-				released = append(released, q.ID)
-			}
-		}
-		if len(released) != n {
-			return false
-		}
-		if !sort.SliceIsSorted(released, func(i, j int) bool { return released[i] < released[j] }) {
-			return false
-		}
-		seen := map[uint32]bool{}
-		for _, id := range released {
-			if seen[id] {
-				return false
-			}
-			seen[id] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestJitter(t *testing.T) {
-	// Regular deliveries: zero jitter.
-	var ts []time.Duration
-	for i := 0; i < 10; i++ {
-		ts = append(ts, time.Duration(i)*10*time.Millisecond)
-	}
-	mean, std := Jitter(ts)
-	if mean != 10*time.Millisecond || std != 0 {
-		t.Fatalf("regular jitter = %v ± %v", mean, std)
-	}
-	// Irregular: positive std.
-	irr := []time.Duration{0, 10 * time.Millisecond, 40 * time.Millisecond, 45 * time.Millisecond}
-	if _, s := Jitter(irr); s <= 0 {
-		t.Fatal("irregular deliveries must show jitter")
-	}
-	if m, s := Jitter(nil); m != 0 || s != 0 {
-		t.Fatal("empty trace must be zero")
-	}
-}
-
-func BenchmarkReorderer(b *testing.B) {
-	r := NewReorderer(0, time.Second)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		// Two-interface interleaving pattern.
-		id := uint32(i)
-		if i%3 == 0 && i > 0 {
-			id = uint32(i - 1)
-		}
-		r.Deliver(Packet{ID: id, Arrived: time.Duration(i) * time.Microsecond})
 	}
 }
 

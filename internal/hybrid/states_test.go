@@ -16,7 +16,7 @@ func TestWeightsFromStatesMatchesWeights(t *testing.T) {
 		darkLink(10, 0),
 	}
 	states := al.NewSnapshot(0, links...).States()
-	for _, s := range []StateScheduler{Proportional{}, RoundRobin{}, Greedy{}} {
+	for _, s := range []StateScheduler{Proportional{}, RoundRobin{}} {
 		live := s.Weights(0, links)
 		batched := s.WeightsFromStates(states)
 		if len(live) != len(batched) {
@@ -45,30 +45,6 @@ func TestWeightsFromStatesZeroCapacityFallback(t *testing.T) {
 	w := Proportional{}.WeightsFromStates(states)
 	if w[0] != 0.5 || w[1] != 0.5 || w[2] != 0 {
 		t.Fatalf("fallback split wrong: %v", w)
-	}
-}
-
-// TestGreedyWinnerTakeAll: the greedy scheduler concentrates the whole
-// split on the best-capacity usable link, never on a dark one, and
-// falls back to the first usable link when no estimates exist.
-func TestGreedyWinnerTakeAll(t *testing.T) {
-	states := al.NewSnapshot(0,
-		constLink(core.WiFi, 30, 20),
-		constLink(core.PLC, 45, 40),
-		darkLink(99, 0),
-	).States()
-	if w := (Greedy{}).WeightsFromStates(states); w[0] != 0 || w[1] != 1 || w[2] != 0 {
-		t.Fatalf("greedy split = %v, want all weight on the PLC link", w)
-	}
-	// No estimates at all: first usable link wins deterministically.
-	none := al.NewSnapshot(0, constLink(core.WiFi, 0, 10), constLink(core.PLC, 0, 20)).States()
-	if w := (Greedy{}).WeightsFromStates(none); w[0] != 1 || w[1] != 0 {
-		t.Fatalf("greedy no-estimate split = %v, want first usable link", w)
-	}
-	// All dark: no split exists.
-	dark := al.NewSnapshot(0, darkLink(0, 0), darkLink(0, 0)).States()
-	if w := (Greedy{}).WeightsFromStates(dark); w[0] != 0 || w[1] != 0 {
-		t.Fatalf("greedy all-dark split = %v, want zeros", w)
 	}
 }
 

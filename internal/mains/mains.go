@@ -5,8 +5,7 @@
 // 50 Hz) is divided into L = 6 tone-map slots, and a station may use a
 // different tone map — hence a different BLE — in each slot, because
 // appliance noise is periodic with the mains (the paper's "invariance
-// scale", §6.1). The beacon period spans two mains cycles (40 ms at 50 Hz,
-// 33.3 ms at 60 Hz).
+// scale", §6.1).
 package mains
 
 import "time"
@@ -25,15 +24,6 @@ const HalfCycle = CyclePeriod / 2
 // Slots is L, the number of tone-map slots per half mains cycle in
 // HomePlug AV.
 const Slots = 6
-
-// SlotDuration is the nominal length of one tone-map slot. Because
-// HalfCycle is not an integer multiple of Slots in nanoseconds, slot
-// boundaries are computed exactly as s*HalfCycle/Slots rather than as
-// multiples of this constant.
-const SlotDuration = HalfCycle / Slots
-
-// BeaconPeriod is the HomePlug AV beacon period: two mains cycles.
-const BeaconPeriod = 2 * CyclePeriod
 
 // Phase returns the position of t within the current half cycle,
 // in [0, HalfCycle).
@@ -57,15 +47,11 @@ func SlotAt(t time.Duration) int {
 }
 
 // slotBoundary returns the first nanosecond belonging to slot s within a
-// half cycle: ceil(s*HalfCycle/Slots).
+// half cycle: ceil(s*HalfCycle/Slots). HalfCycle is not an integer
+// multiple of Slots in nanoseconds, so boundaries are computed exactly
+// rather than as multiples of a rounded slot length.
 func slotBoundary(s int) time.Duration {
 	return (time.Duration(s)*HalfCycle + Slots - 1) / Slots
-}
-
-// SlotStart returns the start time of the slot active at t.
-func SlotStart(t time.Duration) time.Duration {
-	halfStart := t - Phase(t)
-	return halfStart + slotBoundary(SlotAt(t))
 }
 
 // NextSlotBoundary returns the first instant strictly after t at which the
@@ -73,9 +59,4 @@ func SlotStart(t time.Duration) time.Duration {
 func NextSlotBoundary(t time.Duration) time.Duration {
 	halfStart := t - Phase(t)
 	return halfStart + slotBoundary(SlotAt(t)+1)
-}
-
-// CycleIndex returns how many full mains cycles have elapsed at time t.
-func CycleIndex(t time.Duration) int64 {
-	return int64(t / CyclePeriod)
 }

@@ -13,11 +13,8 @@ func TestConstants(t *testing.T) {
 	if HalfCycle != 10*time.Millisecond {
 		t.Fatalf("HalfCycle = %v", HalfCycle)
 	}
-	if BeaconPeriod != 40*time.Millisecond {
-		t.Fatalf("BeaconPeriod = %v", BeaconPeriod)
-	}
-	// Boundaries tile the half cycle exactly even though SlotDuration is
-	// a rounded-down nominal value.
+	// Boundaries tile the half cycle exactly even though HalfCycle/Slots
+	// is not a whole number of nanoseconds.
 	if b := NextSlotBoundary(HalfCycle - time.Nanosecond); b != HalfCycle {
 		t.Fatalf("last slot boundary = %v, want %v", b, HalfCycle)
 	}
@@ -72,32 +69,5 @@ func TestSlotRangeProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestSlotStart(t *testing.T) {
-	for _, d := range []time.Duration{0, time.Millisecond, 5 * time.Millisecond, 9999 * time.Microsecond} {
-		start := SlotStart(d)
-		if start > d {
-			t.Fatalf("SlotStart(%v) = %v is after t", d, start)
-		}
-		if SlotAt(start) != SlotAt(d) {
-			t.Fatalf("SlotStart(%v) lands in a different slot", d)
-		}
-		if d-start >= SlotDuration {
-			t.Fatalf("SlotStart(%v) too far back: %v", d, start)
-		}
-	}
-}
-
-func TestCycleIndex(t *testing.T) {
-	if CycleIndex(19*time.Millisecond) != 0 {
-		t.Fatal("cycle 0")
-	}
-	if CycleIndex(20*time.Millisecond) != 1 {
-		t.Fatal("cycle 1")
-	}
-	if CycleIndex(time.Second) != 50 {
-		t.Fatal("50 cycles per second at 50 Hz")
 	}
 }

@@ -98,14 +98,6 @@ type SACK struct {
 	Failed []int // indices into the acknowledged frame's PB slice
 }
 
-// PBerr returns the failed fraction of a SACK over a frame of n PBs.
-func (s *SACK) PBerr(n int) float64 {
-	if n == 0 {
-		return 0
-	}
-	return float64(len(s.Failed)) / float64(n)
-}
-
 // BuildFrame aggregates up to max PBs from the queue under the given tone
 // map, honouring the maximum frame duration. It returns the frame and the
 // number of PBs consumed.

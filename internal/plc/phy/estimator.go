@@ -189,9 +189,6 @@ func (e *Estimator) Maps() *SlotMaps { return &e.maps }
 // Updates reports how many tone-map regenerations have occurred.
 func (e *Estimator) Updates() int64 { return e.updates }
 
-// Samples reports the accumulated PB sample count (convergence state).
-func (e *Estimator) Samples() float64 { return e.samples }
-
 // penaltyDB is the convergence conservatism at the current sample count.
 func (e *Estimator) penaltyDB() float64 {
 	conv := e.samples / (e.samples + e.cfg.ConvergenceK)
@@ -380,12 +377,6 @@ func (e *Estimator) CurrentPBerr(t time.Duration) float64 {
 	v := s / mains.Slots
 	e.pbMemoT, e.pbMemoEpoch, e.pbMemoV, e.pbMemoOK = t, epoch, v, true
 	return v
-}
-
-// SlotPBerrAt returns the live PB error rate in the slot active at t.
-func (e *Estimator) SlotPBerrAt(t time.Duration) float64 {
-	epoch := e.ch.Advance(t)
-	return e.slotPBerr(mains.SlotAt(t), epoch, e.ch.ShiftDB(t))
 }
 
 // OnTraffic drives the estimator with data-plane activity: frames frames of

@@ -20,9 +20,6 @@ var modLevels = []modLevel{
 	{10, 33},  // 1024-QAM
 }
 
-// MaxBitsPerCarrier is the densest constellation's bit count.
-const MaxBitsPerCarrier = 10
-
 // BitsForSNR returns the densest loading a carrier with the given SNR (dB)
 // sustains, with the given engineering margin subtracted first.
 func BitsForSNR(snrDB, marginDB float64) int {

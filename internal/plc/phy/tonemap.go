@@ -58,11 +58,6 @@ func (tm *ToneMap) BLE() float64 {
 	return tm.TotalBits * tm.FECRate * (1 - tm.PBerrTarget) / TSymMicros
 }
 
-// BitsPerSymbolUseful returns B·R — the post-FEC payload bits per symbol.
-func (tm *ToneMap) BitsPerSymbolUseful() float64 {
-	return tm.TotalBits * tm.FECRate
-}
-
 // SlotMaps is the full tone-map set of one link direction: one map per
 // mains sub-interval plus the default ROBO map used before estimation and
 // for broadcast.
@@ -80,17 +75,6 @@ func (sm *SlotMaps) AverageBLE() float64 {
 		s += sm.Maps[i].BLE()
 	}
 	return s / mains.Slots
-}
-
-// MinBLE returns the worst slot BLE.
-func (sm *SlotMaps) MinBLE() float64 {
-	m := sm.Maps[0].BLE()
-	for i := 1; i < mains.Slots; i++ {
-		if b := sm.Maps[i].BLE(); b < m {
-			m = b
-		}
-	}
-	return m
 }
 
 // ForSlot returns the tone map active in the given slot.

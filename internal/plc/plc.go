@@ -328,18 +328,6 @@ func (s *Station) QuerySlotBLEs(t time.Duration, l *Link) ([mains.Slots]float64,
 	return out, nil
 }
 
-// ResetDevice clears the modem's channel-estimation state (used before
-// the convergence experiments of Figs. 16-18).
-func (s *Station) ResetDevice(t time.Duration) error {
-	if err := s.mmGate(t); err != nil {
-		return err
-	}
-	for _, l := range s.links {
-		l.Est.Reset()
-	}
-	return nil
-}
-
 func (s *Station) mmGate(t time.Duration) error {
 	if s.mmUsed && t-s.lastMM < MMMinInterval {
 		return ErrMMTooFast

@@ -178,15 +178,15 @@ func TestBroadcastLossLowOnUsableLinks(t *testing.T) {
 	}
 }
 
+// TestResetClearsEstimation: the estimator reset the convergence
+// harnesses (Figs. 16-18) perform before each trial discards what the
+// link had learnt.
 func TestResetClearsEstimation(t *testing.T) {
 	d, _ := smallTestbed(t)
-	s := d.Stations[0]
-	l, _ := d.Link(s, d.Stations[4])
+	l, _ := d.Link(d.Stations[0], d.Stations[4])
 	l.Saturate(0, time.Minute, 100*time.Millisecond)
 	converged := l.AvgBLE()
-	if err := s.ResetDevice(2 * time.Minute); err != nil {
-		t.Fatal(err)
-	}
+	l.Est.Reset()
 	l.Probe(2*time.Minute+time.Second, 1300, 1)
 	fresh := l.AvgBLE()
 	if fresh >= converged*0.95 {

@@ -81,17 +81,6 @@ func Min(xs []float64) float64 {
 	return m
 }
 
-// Max returns the maximum of xs, or -Inf for an empty slice.
-func Max(xs []float64) float64 {
-	m := math.Inf(-1)
-	for _, x := range xs {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
 // sortedWithoutNaNs copies xs, drops NaNs and sorts. sort.Float64s
 // leaves NaNs in unspecified positions (every comparison is false), so
 // order statistics over a NaN-bearing slice would be garbage; dropping

@@ -23,12 +23,6 @@ import (
 	"repro/internal/wifi"
 )
 
-// NetworkA and NetworkB are the two AVLN identifiers of the paper floor.
-const (
-	NetworkA = 0 // stations 0-11, board B1, CCo 11
-	NetworkB = 1 // stations 12-18, board B2, CCo 15
-)
-
 // CCoA and CCoB are the paper floor's statically pinned coordinators
 // (§3.1).
 const (
@@ -37,7 +31,7 @@ const (
 )
 
 // NumStations is the paper floor's station count. Other scenarios have
-// their own; use Testbed.StationCount for the assembled value.
+// their own; len(Testbed.Stations) is the assembled value.
 const NumStations = 19
 
 // Testbed is an assembled measurement floor.
@@ -244,13 +238,6 @@ func (tb *Testbed) Reset() { tb.assemble() }
 // Opts reports the options the testbed was built with.
 func (tb *Testbed) Opts() Options { return tb.opts }
 
-// Blueprint reports the scenario the testbed was assembled from (nil
-// for the isolated rig).
-func (tb *Testbed) Blueprint() *scenario.Blueprint { return tb.bp }
-
-// StationCount reports the assembled station count.
-func (tb *Testbed) StationCount() int { return len(tb.Stations) }
-
 // wiringLen converts a straight run into an in-wall cable length
 // (manhattan routing with slack).
 func wiringLen(x1, y1, x2, y2 float64) float64 {
@@ -341,21 +328,6 @@ func (tb *Testbed) SameNetworkPairs() [][2]int {
 	for a := 0; a < n; a++ {
 		for b := 0; b < n; b++ {
 			if a != b && tb.stationNets[a] == tb.stationNets[b] {
-				out = append(out, [2]int{a, b})
-			}
-		}
-	}
-	return out
-}
-
-// AllPairs enumerates every ordered station pair (WiFi has no network
-// partition).
-func (tb *Testbed) AllPairs() [][2]int {
-	n := len(tb.Stations)
-	var out [][2]int
-	for a := 0; a < n; a++ {
-		for b := 0; b < n; b++ {
-			if a != b {
 				out = append(out, [2]int{a, b})
 			}
 		}

@@ -296,12 +296,6 @@ func NewEngine(topo *al.Topology, wl Workload, cfg EngineConfig) (*Engine, error
 	return e, nil
 }
 
-// Workload reports the resolved workload the engine runs.
-func (e *Engine) Workload() Workload { return e.wl }
-
-// Policy reports the routing policy in use.
-func (e *Engine) Policy() Policy { return e.pol }
-
 // ActiveFlows reports the number of in-flight flows.
 func (e *Engine) ActiveFlows() int { return len(e.flows) }
 
